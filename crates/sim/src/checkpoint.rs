@@ -390,6 +390,9 @@ pub(crate) fn decode_worker_payload<P: Snapshot>(
     shard: &mut DeliveryShard,
     stats: &mut RunStats,
 ) -> bool {
+    // Node states change here, off-step: whatever happens below, the
+    // shard's step lists no longer describe them.
+    shard.steps.mark_stale();
     let mut r = ByteReader::new(payload);
     let Some(count) = r.u64() else {
         return false;

@@ -6,9 +6,9 @@
 //! directed-edge slots leaving them (see the [`crate::shard`] module docs
 //! for the full ownership invariant):
 //!
-//! 1. **Compute** — every node consumes its delivered messages and fills
-//!    its preallocated [`Outbox`]. A shard computes only its own nodes and
-//!    writes only its own outbox chunk.
+//! 1. **Compute** — each node in the round's *step set* consumes its
+//!    delivered messages and fills its preallocated [`Outbox`]. A shard
+//!    computes only its own nodes and writes only its own outbox chunk.
 //! 2. **Account** (sender side) — each shard validates addressing,
 //!    charges per-edge byte budgets for the messages *its own* vertices
 //!    sent, and builds its sender-side routing index: outgoing message
@@ -24,6 +24,36 @@
 //!    (no shard-count multiplier); see the [`crate::shard`] module docs
 //!    for the complexity table and [`Simulator::delivery_work`] for the
 //!    measured counters.
+//!
+//! # Sparse rounds: the step set is mail ∪ awake
+//!
+//! Round 0 starts every node. From round 1 on, a shard steps exactly the
+//! vertices that received mail last round or were not
+//! [`Protocol::is_halted`] after their own last step, in ascending id
+//! order (a merge of the placement's sorted mail list and the compute
+//! phase's sorted awake list). Compute also records which vertices sent,
+//! so account visits only those outboxes, the next compute clears only
+//! those, and placement resets, counts, and prefix-sums only the
+//! recipients. A round therefore costs `O(stepped + messages + copies)`
+//! instead of `O(n)`: in the paper's carving phases a vertex acts only
+//! when an improving entry reaches it, so most vertices sit out most
+//! rounds. [`DeliveryWork::vertices_stepped`] and
+//! [`crate::RoundTrace::vertices_stepped`] report the step-set size.
+//!
+//! Skipping a halted node without mail is invisible under the
+//! [`Protocol::is_halted`] contract. The contract is only partly
+//! checked: on a sharded engine, [`Determinism::Verify`] re-runs every
+//! round densely on nodes cloned from the sparse run and fails with
+//! [`SimError::Nondeterminism`] if the outboxes differ, which catches a
+//! halted node that *sends* without mail. It does not catch one that
+//! only changes its state without mail (the clones are re-taken from
+//! the sparse run each round), and a single-shard sequential engine
+//! checks nothing. Off-step state
+//! changes — [`Simulator::nodes_mut`], a checkpoint restore or
+//! [`Simulator::resume_at`], and resharding in [`Simulator::with_engine`]
+//! — mark the step lists stale, and the next step first rebuilds them
+//! with one `O(n)` scan of `is_halted` and the outboxes (a rescan, never
+//! a dense step).
 //!
 //! Under [`Engine::Framed`] the hand-off between phases 2 and 3 crosses
 //! the **frame seam** instead of shared memory: an extra **ship** phase
@@ -95,7 +125,6 @@ use netdecomp_graph::{Graph, VertexId};
 use crate::frame::{
     ChannelTransport, FrameConfig, FrameEncoder, FrameTransport, LoopbackTransport, Transport,
 };
-use crate::message::InboxSlot;
 use crate::shard::{DeliveryShard, RouteIndex, Router, ShardPlan};
 use crate::{
     CongestLimit, DeliveryWork, Inbox, Incoming, Outbox, Recipient, RoundStats, RunStats, SimError,
@@ -160,8 +189,26 @@ pub trait Protocol {
     /// [`Incoming`] is genuinely needed.
     fn round(&mut self, ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox);
 
-    /// `true` once this node has locally terminated. A halted node still
-    /// receives messages (and may un-halt by returning messages again).
+    /// `true` once this node has locally terminated.
+    ///
+    /// The engine schedules rounds by it. From round 1 on, a round steps
+    /// exactly the nodes that received mail or reported `false` here
+    /// after their own last step; a halted node with an empty inbox is
+    /// not stepped at all. A halted node still receives messages: mail
+    /// steps it again, and it may un-halt (and send) in that step.
+    ///
+    /// The contract this relies on: when `is_halted()` is `true`, a call
+    /// to [`Protocol::round`] with an empty inbox must send nothing and
+    /// change nothing later rounds can observe — so skipping it is
+    /// indistinguishable from running it. The answer must depend only on
+    /// the node's own state. A node that counts rounds, polls a clock, or
+    /// otherwise acts without mail must report `false` while it does.
+    /// [`Determinism::Verify`] on a sharded engine re-runs every round
+    /// densely and reports a halted node that sends without mail as
+    /// [`SimError::Nondeterminism`]; a halted node that silently changes
+    /// state without mail is not detected, and neither is anything on a
+    /// single-shard sequential engine. The default (`false`) keeps every
+    /// node stepped every round.
     fn is_halted(&self) -> bool {
         false
     }
@@ -314,9 +361,11 @@ pub enum Determinism {
     /// Trust the protocol to be deterministic (no overhead).
     #[default]
     Trust,
-    /// Re-run each round sequentially — compute on cloned nodes, delivery
-    /// as a single-buffer reference merge — and require bit-identical
-    /// outboxes *and* inboxes ([`SimError::Nondeterminism`] otherwise).
+    /// Re-run each round sequentially — dense compute on cloned nodes
+    /// (every node stepped, which also checks the sparse schedule against
+    /// the [`Protocol::is_halted`] contract), delivery as a single-buffer
+    /// reference merge — and require bit-identical outboxes *and* inboxes
+    /// ([`SimError::Nondeterminism`] otherwise).
     /// Roughly doubles round cost; meant for tests.
     Verify,
 }
@@ -470,11 +519,50 @@ pub struct Simulator<'g, P> {
     started: bool,
 }
 
-/// Runs the compute phase for one shard's vertex range: each node consumes
-/// its slice of the shard-owned inbox and refills its preallocated outbox.
-/// (Also the compute phase of the single-shard
-/// [`crate::transport::worker`] driver.)
+/// Runs the compute phase for one shard's vertex range: round 0 starts
+/// every node; every later round steps exactly the shard's step set —
+/// the vertices with mail, merged with those not halted after their last
+/// step — in ascending id order, each consuming its slice of the
+/// shard-owned inbox into its preallocated outbox. Only last round's
+/// senders' outboxes need clearing; the vertices that send now become the
+/// account phase's sender list. (Also the compute phase of the
+/// single-shard [`crate::transport::worker`] driver.)
 pub(crate) fn compute_shard<P: Protocol>(
+    graph: &Graph,
+    started: bool,
+    shard: &mut DeliveryShard,
+    nodes: &mut [P],
+    outboxes: &mut [Outbox],
+) {
+    let n = graph.vertex_count();
+    let base = shard.start();
+    let mut steps = std::mem::take(&mut shard.steps);
+    steps.begin(nodes, outboxes);
+    let stepped = steps.step(started, shard.mail(), nodes.len(), |i| {
+        let (node, out) = (&mut nodes[i], &mut outboxes[i]);
+        let ctx = Ctx {
+            id: base + i,
+            n,
+            graph,
+        };
+        if started {
+            node.round(&ctx, shard.incoming(i), out);
+        } else {
+            node.start(&ctx, out);
+        }
+        (node.is_halted(), !out.is_empty())
+    });
+    shard.steps = steps;
+    shard.work.vertices_stepped = stepped;
+    shard.trace.note_vertices_stepped(stepped as u64);
+}
+
+/// The dense compute [`Determinism::Verify`] checks the sparse schedule
+/// against: every node of the shard steps, halted or not, mail or not,
+/// into outboxes that start empty. A protocol honoring the
+/// [`Protocol::is_halted`] contract produces the same outboxes either
+/// way.
+fn compute_reference<P: Protocol>(
     graph: &Graph,
     started: bool,
     shard: &DeliveryShard,
@@ -483,9 +571,11 @@ pub(crate) fn compute_shard<P: Protocol>(
 ) {
     let n = graph.vertex_count();
     for (i, (node, out)) in nodes.iter_mut().zip(outboxes.iter_mut()).enumerate() {
-        let id = shard.start() + i;
-        out.clear();
-        let ctx = Ctx { id, n, graph };
+        let ctx = Ctx {
+            id: shard.start() + i,
+            n,
+            graph,
+        };
         if started {
             node.round(&ctx, shard.incoming(i), out);
         } else {
@@ -645,9 +735,9 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// single `broadcast` on an existing pool. Note the *vendored* rayon
     /// shim backing this workspace has no persistent workers — a broadcast
     /// spawns one scoped thread set — so parallel stepping costs one spawn
-    /// set per round (not one per phase) until a real pool lands (see
-    /// ROADMAP "Open items"); with the real rayon crate the same call
-    /// reuses persistent workers and stepping becomes spawn-free.
+    /// set per round (not one per phase); with the real rayon crate the
+    /// same call reuses persistent workers and stepping becomes
+    /// spawn-free.
     #[must_use]
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
@@ -775,23 +865,21 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             })
             .collect();
         // Vertices ascend across old shards, and each new shard's range is
-        // contiguous, so a single in-order sweep rebuilds every local CSR.
-        // Pending payloads are re-registered per copy (not per message) in
-        // the receiving slab — resharding is a cold path, and the next
-        // round's placement rebuilds the exact per-message dedup.
+        // contiguous, so one in-order sweep over the old mail lists
+        // rebuilds every new inbox (and mail list). Pending payloads are
+        // re-registered per copy (not per message) in the receiving slab —
+        // resharding is a cold path, and the next round's placement
+        // rebuilds the exact per-message dedup. Fresh shards start with
+        // stale step lists, so the next compute rescans nodes and
+        // outboxes.
         for shard in &old {
-            for local in 0..shard.len() {
-                let v = shard.start() + local;
+            for &local in shard.mail() {
+                let v = shard.start() + local as usize;
                 let new = &mut self.shards[plan.shard_of(v)];
-                for m in shard.incoming(local).iter() {
-                    let payload = new.slab.register(m.payload().clone());
-                    new.slots.push(InboxSlot {
-                        from: m.from() as u32,
-                        payload,
-                    });
+                let new_local = v - new.start();
+                for m in shard.incoming(local as usize).iter() {
+                    new.push_delivered(new_local, m.from() as u32, m.payload().clone());
                 }
-                let (base, filled) = (new.start(), new.slots.len());
-                new.offsets[v - base + 1] = filled;
             }
         }
         let mut rest = flat.into_iter();
@@ -917,8 +1005,13 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     }
 
     /// Mutable access to all node states, for drivers that reconfigure nodes
-    /// between protocol phases.
+    /// between protocol phases. Changes made here may wake halted nodes,
+    /// so the next step rescans every node's [`Protocol::is_halted`] once
+    /// before stepping sparsely again.
     pub fn nodes_mut(&mut self) -> &mut [P] {
+        for shard in &mut self.shards {
+            shard.steps.mark_stale();
+        }
         &mut self.nodes
     }
 
@@ -949,6 +1042,9 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     pub fn resume_at(&mut self, round: usize) {
         self.round = round;
         self.started = round > 0;
+        for shard in &mut self.shards {
+            shard.steps.mark_stale();
+        }
     }
 
     /// Surfaces the round's first error (lowest shard, i.e. lowest sender
@@ -1385,8 +1481,9 @@ impl<P: Protocol + Send + Clone> Simulator<'_, P> {
         if self.workers <= 1 && self.shards.len() <= 1 && self.backend.is_none() {
             return self.step();
         }
-        // Sequential reference compute on cloned nodes, against the same
-        // pre-round inboxes.
+        // Dense sequential reference compute on cloned nodes, against the
+        // same pre-round inboxes: every node steps, so a halted node that
+        // acts without mail shows up as an outbox divergence.
         let mut reference_nodes = self.nodes.clone();
         let mut reference_outboxes = vec![Outbox::new(); self.nodes.len()];
         {
@@ -1397,7 +1494,7 @@ impl<P: Protocol + Send + Clone> Simulator<'_, P> {
                 node_rest = rest;
                 let (outs, rest) = out_rest.split_at_mut(shard.len());
                 out_rest = rest;
-                compute_shard(self.graph, self.started, shard, nodes, outs);
+                compute_reference(self.graph, self.started, shard, nodes, outs);
             }
         }
         let round = self.round;
@@ -1553,10 +1650,14 @@ mod tests {
         }
 
         fn round(&mut self, _ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox) {
-            self.rounds_seen += 1;
-            if self.dist.is_none() && !incoming.is_empty() {
-                self.dist = Some(self.rounds_seen);
-                out.broadcast(Bytes::from_static(b"t"));
+            // Only an unreached node counts rounds: once halted, a step
+            // without mail must change nothing (the `is_halted` contract).
+            if self.dist.is_none() {
+                self.rounds_seen += 1;
+                if !incoming.is_empty() {
+                    self.dist = Some(self.rounds_seen);
+                    out.broadcast(Bytes::from_static(b"t"));
+                }
             }
         }
 
@@ -2180,6 +2281,98 @@ mod tests {
         assert!(panicked.is_err());
     }
 
+    /// Every vertex broadcasts at round 0 and then rebroadcasts on mail
+    /// until its `budget` runs out; a node without mail does nothing, so
+    /// it always reports halted. Traffic shrinks round by round, and
+    /// vertices run dry at different times — the shape that leaves stale
+    /// inbox ranges behind if placement or a rebuild resets too little.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Dwindle {
+        budget: usize,
+        heard: Vec<(usize, usize)>,
+    }
+
+    impl Dwindle {
+        fn new(id: usize) -> Self {
+            Dwindle {
+                budget: id % 4,
+                heard: Vec::new(),
+            }
+        }
+    }
+
+    impl Protocol for Dwindle {
+        fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox) {
+            out.broadcast(Bytes::from(vec![ctx.id as u8]));
+        }
+
+        fn round(&mut self, ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox) {
+            for m in incoming.iter() {
+                self.heard.push((m.from(), usize::from(m.payload()[0])));
+            }
+            if !incoming.is_empty() && self.budget > 0 {
+                self.budget -= 1;
+                out.broadcast(Bytes::from(vec![ctx.id as u8]));
+            }
+        }
+
+        fn is_halted(&self) -> bool {
+            true
+        }
+    }
+
+    impl Snapshot for Dwindle {
+        fn save_state(&self) -> Bytes {
+            let mut out = vec![self.budget as u8];
+            for &(from, tag) in &self.heard {
+                out.extend_from_slice(&[from as u8, tag as u8]);
+            }
+            Bytes::from(out)
+        }
+
+        fn load_state(&mut self, bytes: &[u8]) -> bool {
+            let Some((&budget, rest)) = bytes.split_first() else {
+                return false;
+            };
+            if rest.len() % 2 != 0 {
+                return false;
+            }
+            self.budget = usize::from(budget);
+            self.heard = rest
+                .chunks(2)
+                .map(|p| (usize::from(p[0]), usize::from(p[1])))
+                .collect();
+            true
+        }
+    }
+
+    /// Every vertex's pending inbox as owned `(from, payload)` pairs.
+    fn inboxes<P: Protocol>(sim: &Simulator<'_, P>) -> Vec<Vec<(usize, Vec<u8>)>> {
+        (0..sim.graph().vertex_count())
+            .map(|v| {
+                sim.incoming(v)
+                    .iter()
+                    .map(|m| (m.from(), m.payload().to_vec()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Steps `a` and `b` in lockstep for `rounds` rounds, requiring equal
+    /// round stats, node states, and inboxes after every round.
+    fn assert_lockstep<P: Protocol + Send + PartialEq + std::fmt::Debug>(
+        a: &mut Simulator<'_, P>,
+        b: &mut Simulator<'_, P>,
+        rounds: usize,
+    ) {
+        for _ in 0..rounds {
+            let round = a.rounds_executed();
+            assert_eq!(a.step(), b.step(), "round {round} stats");
+            assert_eq!(a.nodes(), b.nodes(), "round {round} node states");
+            assert_eq!(inboxes(a), inboxes(b), "round {round} inboxes");
+        }
+    }
+
     #[test]
     fn resharding_mid_run_preserves_pending_messages() {
         // Step once sequentially (messages now in flight), then reshard;
@@ -2194,6 +2387,30 @@ mod tests {
         sim.run_to_quiescence(g.vertex_count()).unwrap();
         let dists: Vec<_> = sim.nodes().iter().map(|n| n.dist).collect();
         assert_eq!(dists, netdecomp_graph::bfs::distances(&g, 0));
+
+        // Reshard twice while some vertices have empty inboxes and every
+        // later round delivers fewer copies than the one before the
+        // reshard: the rebuilt inboxes and step lists must match an
+        // unsharded run round for round.
+        let g = generators::grid2d(6, 5);
+        let mut reference = Simulator::new(&g, |id, _| Dwindle::new(id));
+        let mut sim = Simulator::new(&g, |id, _| Dwindle::new(id));
+        assert_lockstep(&mut reference, &mut sim, 2);
+        let pending = inboxes(&sim);
+        assert!(pending.iter().any(Vec::is_empty), "some inboxes empty");
+        assert!(pending.iter().any(|m| !m.is_empty()), "some mail pending");
+        let mut sim = sim.with_engine(Engine::Parallel {
+            threads: 2,
+            shards: 5,
+        });
+        assert_lockstep(&mut reference, &mut sim, 1);
+        let mut sim = sim.with_engine(Engine::Framed {
+            threads: 2,
+            shards: 3,
+            transport: FrameTransport::Loopback,
+        });
+        assert_lockstep(&mut reference, &mut sim, 4);
+        assert!(sim.is_quiescent() && reference.is_quiescent());
     }
 
     #[test]
@@ -2289,6 +2506,209 @@ mod tests {
 
         assert_eq!(resumed.nodes(), full.nodes(), "resumed run diverged");
         assert_eq!(resumed.rounds_executed(), full.rounds_executed());
+    }
+
+    /// Snapshots a run of `make`'s protocol at round `cut`, runs it to
+    /// quiescence, then restores the snapshot into a fresh simulator, into
+    /// one a round *before* the cut (whose inbox ranges and step lists
+    /// are stale for the restored state), and into the finished
+    /// simulator itself; each must then replay the original rounds
+    /// bit-identically. Returns, per round after the cut, whether it
+    /// delivered fewer copies than the checkpointed round.
+    fn assert_restores_over_stale_state<P, F>(
+        g: &Graph,
+        engine: Engine,
+        cut: usize,
+        make: F,
+    ) -> Vec<bool>
+    where
+        P: Protocol + Snapshot + Send + Clone + PartialEq + std::fmt::Debug,
+        F: Fn(VertexId) -> P,
+    {
+        let build = || Simulator::new(g, |id, _| make(id)).with_engine(engine);
+        let mut full = build();
+        full.run_rounds(cut).unwrap();
+        let shards = full.shard_plan().count();
+        let payloads: Vec<Vec<u8>> = (0..shards).map(|k| full.snapshot_shard(k)).collect();
+        let cut_inboxes = inboxes(&full);
+        let cut_copies: usize = cut_inboxes.iter().map(Vec::len).sum();
+        assert!(cut_inboxes.iter().any(Vec::is_empty), "{engine:?}");
+        let mut trail = Vec::new();
+        let mut fewer = Vec::new();
+        while !full.is_quiescent() {
+            full.step().unwrap();
+            trail.push((full.nodes().to_vec(), inboxes(&full)));
+            fewer.push(full.delivery_work().copies_delivered < cut_copies);
+        }
+        let mut behind = build();
+        behind.run_rounds(cut - 1).unwrap();
+        assert_ne!(inboxes(&behind), cut_inboxes, "{engine:?}");
+        for mut sim in [build(), behind, full] {
+            for (k, payload) in payloads.iter().enumerate() {
+                assert!(sim.restore_shard(k, payload), "{engine:?} shard {k}");
+            }
+            sim.resume_at(cut);
+            assert_eq!(inboxes(&sim), cut_inboxes, "{engine:?} restored inboxes");
+            for (nodes, inbox) in &trail {
+                sim.step().unwrap();
+                assert_eq!(sim.nodes(), &nodes[..], "{engine:?}");
+                assert_eq!(&inboxes(&sim), inbox, "{engine:?}");
+            }
+            assert!(sim.is_quiescent(), "{engine:?}");
+        }
+        fewer
+    }
+
+    /// Checkpoint restore over stale inbox ranges and step lists, with
+    /// partly empty restored inboxes: `Dwindle` delivers fewer copies in
+    /// every round after the cut, and `FloodDist`'s unreached vertices
+    /// must be awake again after the restore (they count rounds).
+    #[test]
+    fn a_restore_over_stale_inbox_ranges_resumes_bit_identically() {
+        let g = generators::grid2d(6, 5);
+        for engine in [
+            Engine::Sequential,
+            Engine::Parallel {
+                threads: 2,
+                shards: 3,
+            },
+            Engine::Framed {
+                threads: 2,
+                shards: 4,
+                transport: FrameTransport::Loopback,
+            },
+        ] {
+            // Cut 2: one round earlier every vertex had mail, so every
+            // restored empty inbox overwrites a stale non-empty range.
+            let fewer = assert_restores_over_stale_state(&g, engine, 2, Dwindle::new);
+            assert!(fewer.iter().all(|&f| f), "{engine:?}: {fewer:?}");
+            assert_restores_over_stale_state(&g, engine, 3, |_| FloodDist::fresh());
+        }
+    }
+
+    /// The `is_halted` contract's checkable half: a node that reports itself
+    /// halted yet sends without mail is skipped by the sparse schedule,
+    /// and the dense reference compute of `Determinism::Verify` catches
+    /// the difference as nondeterminism.
+    #[test]
+    fn verify_catches_a_halted_node_that_sends_without_mail() {
+        #[derive(Debug, Clone)]
+        struct Chatter;
+        impl Protocol for Chatter {
+            fn start(&mut self, _: &Ctx<'_>, _: &mut Outbox) {}
+            fn round(&mut self, _: &Ctx<'_>, _: Inbox<'_>, out: &mut Outbox) {
+                out.broadcast(Bytes::from_static(b"!"));
+            }
+            fn is_halted(&self) -> bool {
+                true
+            }
+        }
+        let g = generators::path(6);
+        for engine in [
+            Engine::Parallel {
+                threads: 2,
+                shards: 2,
+            },
+            Engine::Framed {
+                threads: 2,
+                shards: 3,
+                transport: FrameTransport::Loopback,
+            },
+        ] {
+            let mut sim = Simulator::new(&g, |_, _| Chatter).with_engine(engine);
+            let err = sim
+                .run_rounds_with(3, Determinism::Verify)
+                .expect_err("the contract violation must be reported");
+            assert_eq!(
+                err,
+                SimError::Nondeterminism {
+                    round: 1,
+                    vertex: 0
+                },
+                "{engine:?}"
+            );
+        }
+    }
+
+    /// Waking a halted node through `nodes_mut` must get it stepped on
+    /// the next round (the step lists are rescanned), and quiescence must
+    /// see the woken node.
+    #[test]
+    fn a_node_woken_through_nodes_mut_is_stepped() {
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        struct Beacon {
+            pending: bool,
+            heard: usize,
+        }
+        impl Protocol for Beacon {
+            fn start(&mut self, _: &Ctx<'_>, _: &mut Outbox) {}
+            fn round(&mut self, _: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox) {
+                self.heard += incoming.len();
+                if self.pending {
+                    self.pending = false;
+                    out.broadcast(Bytes::from_static(b"b"));
+                }
+            }
+            fn is_halted(&self) -> bool {
+                !self.pending
+            }
+        }
+        let g = generators::path(5);
+        for engine in [
+            Engine::Sequential,
+            Engine::Parallel {
+                threads: 2,
+                shards: 3,
+            },
+        ] {
+            let mut sim = Simulator::new(&g, |_, _| Beacon {
+                pending: false,
+                heard: 0,
+            })
+            .with_engine(engine);
+            sim.run_rounds(3).unwrap();
+            assert!(sim.is_quiescent());
+            sim.nodes_mut()[2].pending = true;
+            assert!(!sim.is_quiescent(), "{engine:?}: the woken node counts");
+            sim.run_to_quiescence(4).unwrap();
+            let heard: Vec<usize> = sim.nodes().iter().map(|b| b.heard).collect();
+            assert_eq!(heard, vec![0, 1, 0, 1, 0], "{engine:?}");
+        }
+    }
+
+    #[test]
+    fn vertices_stepped_counts_mail_and_awake_vertices() {
+        // A flood from vertex 0 along a path: unreached vertices are
+        // awake (stepped every round); a reached vertex halts and is
+        // stepped again only when its neighbor's echo arrives.
+        let g = generators::path(5);
+        for engine in [
+            Engine::Sequential,
+            Engine::Parallel {
+                threads: 2,
+                shards: 2,
+            },
+        ] {
+            let mut sim = Simulator::new(&g, |_, _| FloodDist::fresh())
+                .with_engine(engine)
+                .with_trace(8);
+            let mut stepped = Vec::new();
+            while !sim.is_quiescent() {
+                sim.step().unwrap();
+                stepped.push(sim.delivery_work().vertices_stepped);
+            }
+            // Round 0 starts all 5. Round 1: awake {1..4} (1 has mail).
+            // Round 2: mail {0, 2} ∪ awake {2, 3, 4}. Round 3: mail
+            // {1, 3} ∪ awake {3, 4}. Round 4: mail {2, 4} ∪ awake {4}.
+            // Round 5: mail {3}.
+            assert_eq!(stepped, vec![5, 4, 4, 3, 2, 1], "{engine:?}");
+            let traced: u64 = sim
+                .flight_traces()
+                .iter()
+                .flat_map(|(_, records)| records.iter().map(|r| r.vertices_stepped))
+                .sum();
+            assert_eq!(traced, 19, "{engine:?}");
+        }
     }
 
     /// A corrupted payload is refused (`false`) instead of trusted or

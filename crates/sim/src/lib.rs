@@ -22,8 +22,12 @@
 //! row — owns a contiguous block of the per-edge CONGEST counters. Every
 //! [`Simulator::step`] then runs three shard-local phases:
 //!
-//! - **Compute.** Each node consumes the slice of messages delivered to it
-//!   and fills its preallocated [`Outbox`].
+//! - **Compute.** Each node of the round's *step set* consumes the slice
+//!   of messages delivered to it and fills its preallocated [`Outbox`].
+//!   Round 0 starts every node; from round 1 on the step set is
+//!   **mail ∪ awake** — the vertices that received messages last round,
+//!   plus those not [`Protocol::is_halted`] after their own last step —
+//!   in ascending id order.
 //! - **Account (sender side).** Each shard validates addressing, charges
 //!   per-edge budgets for messages its own vertices sent (no counter
 //!   merge — senders own their edge slots outright), and *routes* each
@@ -40,7 +44,14 @@
 //! `O(shards × messages)` to `O(messages + copies)` refs, with no
 //! shard-count multiplier (the complexity table lives in the `shard`
 //! module docs; [`Simulator::delivery_work`] reports the measured
-//! [`DeliveryWork`] counters).
+//! [`DeliveryWork`] counters). Sparse stepping does the same for the
+//! per-vertex work: compute, account, and place touch only the step set,
+//! the senders, and the recipients, so a round costs
+//! `O(stepped + messages + copies)`, not `O(n)` — the paper's carving
+//! phases leave most vertices silent in most rounds. A halted node with
+//! an empty inbox is skipped, which the [`Protocol::is_halted`] contract
+//! makes unobservable ([`DeliveryWork::vertices_stepped`] reports the
+//! step-set size).
 //!
 //! # Slab-backed inboxes: delivery cost is per message, not per copy
 //!
@@ -167,7 +178,8 @@
 //! preallocated ring of the last *K* [`RoundTrace`] records
 //! (`NETDECOMP_TRACE_WINDOW`, default 64): per-phase
 //! compute/account/ship/place/barrier-wait nanoseconds plus the round's
-//! frame bytes, checksum nanoseconds, and restart generation. Recording
+//! frame bytes, checksum nanoseconds, vertices stepped, and restart
+//! generation. Recording
 //! is an in-place overwrite of preallocated slots, so the steady-state
 //! zero-allocation invariant holds with tracing enabled, and timing
 //! never influences delivery, so [`Determinism::Verify`] stays
@@ -191,10 +203,12 @@
 //! `(threads, shards)` configuration produces **bit-identical** node
 //! states, inboxes, and [`RunStats`]. [`Determinism::Verify`] (via
 //! [`Simulator::step_verified`] or the `*_with` runners) checks both
-//! halves per round — reference compute on cloned nodes, and sharded
-//! delivery against a sequential single-buffer merge — and fails with
-//! [`SimError::Nondeterminism`] if a protocol sneaks in scheduling
-//! dependence.
+//! halves per round — a dense reference compute on cloned nodes (every
+//! node stepped, so on a sharded engine a halted node that sends
+//! without mail is caught; one that only changes state is not),
+//! and sharded delivery against a sequential single-buffer merge — and
+//! fails with [`SimError::Nondeterminism`] if a protocol sneaks in
+//! scheduling dependence.
 //!
 //! # Typed messages
 //!

@@ -65,6 +65,14 @@
 //! separate processes, where a cross-shard rescan would become a
 //! cross-process one.
 //!
+//! No pass is `O(n)` either. Each inbox is the range
+//! `offsets[i]..counts[i]`, both zero for a vertex without mail, so a
+//! placement resets only last round's recipients (the shard's mail
+//! list), counts into the zeroed entries while collecting this round's
+//! recipients, and prefix-sums over those alone. The mail list comes out
+//! sorted, and the next compute steps it merged with the awake list (see
+//! [`StepLists`]); account visits only the compute phase's senders.
+//!
 //! The remaining `O(C)` scatter term is a *cache-linear 8-byte write* per
 //! copy, not a payload-handle operation: the inbox stores compact
 //! `{from: u32, payload: PayloadId}` slots, and each unique
@@ -531,12 +539,22 @@ pub(crate) struct DeliveryShard {
     edge_bytes: Vec<usize>,
     /// Locally-indexed slots dirtied this round (sparse reset).
     touched: Vec<usize>,
-    /// Per-recipient counts, then scatter cursors (both local-indexed).
+    /// Per-recipient counts during placement, scatter cursors after the
+    /// prefix pass, and — once placement is done — each inbox's end:
+    /// vertex `start + i` receives `slots[offsets[i]..counts[i]]`.
     counts: Vec<usize>,
-    /// Local CSR offsets into [`DeliveryShard::slots`]: vertex `start + i`
-    /// receives `slots[offsets[i]..offsets[i + 1]]`.
-    pub(crate) offsets: Vec<usize>,
-    /// Messages delivered to this shard's vertices, CSR-packed as compact
+    /// Per-recipient inbox start in [`DeliveryShard::slots`]. Together
+    /// with `counts` this keeps the invariant that every vertex *not* in
+    /// [`DeliveryShard::mail`] has `offsets[i] == counts[i] == 0`, so a
+    /// placement resets only last round's recipients instead of all `n`.
+    offsets: Vec<usize>,
+    /// Local ids with a non-empty inbox, ascending: the placement's
+    /// output and half of the next compute's step set.
+    mail: Vec<u32>,
+    /// Placement scratch: this round's recipients as they are first
+    /// counted (becomes `mail` once the round commits).
+    next_mail: Vec<u32>,
+    /// Messages delivered to this shard's vertices, packed as compact
     /// `{from, payload id}` slots resolved through
     /// [`DeliveryShard::slab`].
     pub(crate) slots: Vec<InboxSlot>,
@@ -561,6 +579,128 @@ pub(crate) struct DeliveryShard {
     /// Framed backends: this round's decoded frames, in sender-shard
     /// order (cleared after scatter; recycled in place).
     decoded: Vec<Frame>,
+    /// Which vertices the next compute steps, and whose outboxes it
+    /// clears.
+    pub(crate) steps: StepLists,
+}
+
+/// The sparse round schedule of one shard: from round 1 on, the compute
+/// phase steps exactly the vertices that got mail last round or were not
+/// [`crate::Protocol::is_halted`] after their last step — the union of
+/// [`DeliveryShard`]'s mail list and `awake` — in ascending id order.
+/// A round then costs `O(stepped + messages)`, not `O(n)`.
+///
+/// Both lists are exact only while node state and outboxes change
+/// through stepping alone. Anything that changes them between steps
+/// (`Simulator::nodes_mut`, a checkpoint restore, a reshard, a freshly
+/// built shard) sets `rescan`, and the next compute rebuilds both lists
+/// with one `O(n)` scan of `is_halted` and the outboxes before stepping
+/// sparsely as usual. The rescan never *steps* a vertex: a dense step
+/// would change what halted nodes observe.
+#[derive(Debug, Default)]
+pub(crate) struct StepLists {
+    /// Local ids not halted after their last step, ascending.
+    awake: Vec<u32>,
+    /// Scratch for the awake list being built by the current compute.
+    next_awake: Vec<u32>,
+    /// Local ids whose outbox is non-empty, ascending: the account
+    /// phase's sender list, and the outboxes the next compute clears.
+    senders: Vec<u32>,
+    /// `true` when the lists no longer describe the node states and
+    /// outboxes (see the type docs).
+    rescan: bool,
+}
+
+impl StepLists {
+    /// Lists for a shard of `len` vertices, stale until the first
+    /// compute rescans them.
+    fn new(len: usize) -> Self {
+        StepLists {
+            awake: Vec::with_capacity(len),
+            next_awake: Vec::with_capacity(len),
+            senders: Vec::with_capacity(len),
+            rescan: true,
+        }
+    }
+
+    /// Records that node state or outboxes changed between steps; the
+    /// next compute rescans before stepping.
+    pub(crate) fn mark_stale(&mut self) {
+        self.rescan = true;
+    }
+
+    /// Local ids that sent in the last compute, ascending.
+    pub(crate) fn senders(&self) -> &[u32] {
+        &self.senders
+    }
+
+    /// Starts a compute pass over `nodes`: rebuilds the lists first if
+    /// they are stale, clears last round's senders' outboxes (every
+    /// other outbox is already empty), and empties the sender list this
+    /// pass refills.
+    pub(crate) fn begin<P: crate::Protocol>(&mut self, nodes: &[P], outboxes: &mut [Outbox]) {
+        if self.rescan {
+            self.awake.clear();
+            self.senders.clear();
+            for (i, (node, out)) in nodes.iter().zip(outboxes.iter()).enumerate() {
+                if !node.is_halted() {
+                    self.awake.push(i as u32);
+                }
+                if !out.is_empty() {
+                    self.senders.push(i as u32);
+                }
+            }
+            self.rescan = false;
+        }
+        for &i in &self.senders {
+            outboxes[i as usize].clear();
+        }
+        self.senders.clear();
+    }
+
+    /// Runs `step` on this compute pass's vertices in ascending order —
+    /// every one of the shard's `len` vertices before the run has
+    /// `started`, afterwards the union of `mail` and the awake list — and
+    /// records the `(halted, sent)` each call returns. Returns how many
+    /// vertices were stepped.
+    pub(crate) fn step(
+        &mut self,
+        started: bool,
+        mail: &[u32],
+        len: usize,
+        mut step: impl FnMut(usize) -> (bool, bool),
+    ) -> usize {
+        let mut next_awake = std::mem::take(&mut self.next_awake);
+        next_awake.clear();
+        let mut stepped = 0;
+        let mut visit = |i: usize| {
+            let (halted, sent) = step(i);
+            if sent {
+                self.senders.push(i as u32);
+            }
+            if !halted {
+                next_awake.push(i as u32);
+            }
+            stepped += 1;
+        };
+        if started {
+            let (a, b) = (mail, &self.awake[..]);
+            let (mut i, mut j) = (0, 0);
+            while i < a.len() && j < b.len() {
+                let (x, y) = (a[i], b[j]);
+                visit(x.min(y) as usize);
+                i += usize::from(x <= y);
+                j += usize::from(y <= x);
+            }
+            for &x in a[i..].iter().chain(&b[j..]) {
+                visit(x as usize);
+            }
+        } else {
+            (0..len).for_each(&mut visit);
+        }
+        self.next_awake = std::mem::replace(&mut self.awake, next_awake);
+        stepped
+    }
 }
 
 impl DeliveryShard {
@@ -574,7 +714,15 @@ impl DeliveryShard {
             edge_bytes: vec![0; slots],
             touched: Vec::new(),
             counts: vec![0; end - start],
-            offsets: vec![0; end - start + 1],
+            offsets: vec![0; end - start],
+            // The mail and step lists never hold more than one entry per
+            // owned vertex, so they are sized once here, on the building
+            // thread. Grown during rounds instead, they would grow on
+            // whichever worker thread steps the shard; on a 150 × 150 grid
+            // decomposition that fragmented the allocator's per-thread
+            // arenas enough to raise the peak resident set by ~10 MiB.
+            mail: Vec::with_capacity(end - start),
+            next_mail: Vec::with_capacity(end - start),
             slots: Vec::new(),
             slab: PayloadSlab::default(),
             stats: RoundStats::default(),
@@ -583,6 +731,7 @@ impl DeliveryShard {
             error: None,
             gather: Vec::new(),
             decoded: Vec::new(),
+            steps: StepLists::new(end - start),
         }
     }
 
@@ -599,9 +748,98 @@ impl DeliveryShard {
     /// Messages delivered to owned vertex `start + local` last round.
     pub(crate) fn incoming(&self, local: usize) -> Inbox<'_> {
         Inbox::new(
-            &self.slots[self.offsets[local]..self.offsets[local + 1]],
+            &self.slots[self.offsets[local]..self.counts[local]],
             &self.slab,
         )
+    }
+
+    /// Local ids with a non-empty inbox, ascending.
+    pub(crate) fn mail(&self) -> &[u32] {
+        &self.mail
+    }
+
+    /// Empties the pending inbox (a cold `O(n)` path) and marks the step
+    /// lists stale. Refill with [`DeliveryShard::push_delivered`].
+    pub(crate) fn clear_inbox(&mut self) {
+        self.slots.clear();
+        self.slab.reset();
+        self.offsets.fill(0);
+        self.counts.fill(0);
+        self.mail.clear();
+        self.steps.mark_stale();
+    }
+
+    /// Appends one message to owned vertex `local`'s pending inbox — the
+    /// cold-path rebuild behind resharding and checkpoint restore, which
+    /// registers the payload per copy rather than per message. Fill
+    /// vertices in ascending order, each in one run, after
+    /// [`DeliveryShard::clear_inbox`].
+    pub(crate) fn push_delivered(&mut self, local: usize, from: u32, payload: bytes::Bytes) {
+        if self.mail.last() != Some(&(local as u32)) {
+            debug_assert!(self.mail.last().is_none_or(|&last| (last as usize) < local));
+            self.mail.push(local as u32);
+            self.offsets[local] = self.slots.len();
+        }
+        let payload = self.slab.register(payload);
+        self.slots.push(InboxSlot { from, payload });
+        self.counts[local] = self.slots.len();
+    }
+
+    /// Opens a placement's count pass: last round's recipients hand their
+    /// `counts` entries (their inbox ends) to the count, which then
+    /// starts from zero everywhere.
+    fn begin_count(&mut self) {
+        self.next_mail.clear();
+        for &i in &self.mail {
+            self.counts[i as usize] = 0;
+        }
+    }
+
+    /// Abandons a count pass, leaving last round's inbox exactly as it
+    /// was (an aborted placement must not change what is readable).
+    /// Inboxes are packed back to back in mail-list order, so each end
+    /// is the next recipient's start, and the last one is the slot
+    /// table's length.
+    fn abort_count(&mut self) {
+        for &i in &self.next_mail {
+            self.counts[i as usize] = 0;
+        }
+        let ends = self.mail.iter().skip(1).map(|&i| self.offsets[i as usize]);
+        for (&i, end) in self.mail.iter().zip(ends.chain([self.slots.len()])) {
+            self.counts[i as usize] = end;
+        }
+    }
+
+    /// Closes a count pass: empties last round's inbox ranges, orders
+    /// this round's recipients, and turns their counts into scatter
+    /// cursors. Returns the round's total copy count; the slot table is
+    /// sized to it.
+    fn commit_count(&mut self) -> usize {
+        for &i in &self.mail {
+            self.offsets[i as usize] = 0;
+        }
+        // Recipients are counted in delivery order, not id order.
+        self.next_mail.sort_unstable();
+        std::mem::swap(&mut self.mail, &mut self.next_mail);
+        let mut total = 0;
+        for &i in &self.mail {
+            let i = i as usize;
+            let count = self.counts[i];
+            self.offsets[i] = total;
+            self.counts[i] = total;
+            total += count;
+        }
+        self.slots.resize(total, InboxSlot::default());
+        total
+    }
+
+    /// Resets the per-round place counters, keeping the compute phase's
+    /// `vertices_stepped`.
+    fn reset_work(&mut self) {
+        self.work = DeliveryWork {
+            vertices_stepped: self.work.vertices_stepped,
+            ..DeliveryWork::default()
+        };
     }
 
     /// **Checkpoint seam** (save side): serializes the pending inbox —
@@ -640,9 +878,9 @@ impl DeliveryShard {
         if vertices as usize != self.len() {
             return false;
         }
-        self.slots.clear();
-        self.slab.reset();
-        self.offsets[0] = 0;
+        // The restored node states and inbox replace whatever the step
+        // lists described (clear_inbox marks them for a rescan).
+        self.clear_inbox();
         for local in 0..self.len() {
             let Some(count) = r.u64() else {
                 return false;
@@ -654,10 +892,8 @@ impl DeliveryShard {
                 let Ok(from) = u32::try_from(from) else {
                     return false;
                 };
-                let payload = self.slab.register(bytes::Bytes::from(payload.to_vec()));
-                self.slots.push(InboxSlot { from, payload });
+                self.push_delivered(local, from, bytes::Bytes::from(payload.to_vec()));
             }
-            self.offsets[local + 1] = self.slots.len();
         }
         // Sparse-reset whatever charges this (freshly built or reused)
         // shard held, then overlay the checkpointed counters.
@@ -689,7 +925,8 @@ impl DeliveryShard {
     /// message sent *by* this shard's vertices. `outboxes` is the shard's
     /// own outbox chunk; `router` is the shard's own (exclusively owned)
     /// router, whose buckets the destination shards consume during
-    /// placement.
+    /// placement. Only the compute phase's sender list is visited (every
+    /// other outbox is empty), in ascending id order.
     ///
     /// Returns `false` (with [`DeliveryShard::error`] set) on the first
     /// violation, mirroring the abort point of a sequential sender-order
@@ -715,8 +952,9 @@ impl DeliveryShard {
         };
         self.error = None;
         router.reset(routes.shard_count());
-        for (i, out) in outboxes.iter().enumerate() {
-            let from = self.start + i;
+        for s in 0..self.steps.senders().len() {
+            let i = self.steps.senders()[s] as usize;
+            let (from, out) = (self.start + i, &outboxes[i]);
             for (m, msg) in out.messages().iter().enumerate() {
                 let len = msg.payload.len();
                 let sent = match &msg.to {
@@ -848,30 +1086,27 @@ impl DeliveryShard {
         routers: &[RwLock<Router>],
     ) {
         let lo = self.start;
-        self.counts.fill(0);
-        self.work = DeliveryWork::default();
+        self.reset_work();
+        self.begin_count();
         for router in routers {
             let router = router.read().expect("no poisoned router");
             for route in router.bucket(me) {
                 self.work.refs_scanned += 1;
                 for &to in graph.slot_targets(route.lo as usize..route.hi as usize) {
-                    self.counts[to - lo] += 1;
+                    let count = &mut self.counts[to - lo];
+                    if *count == 0 {
+                        self.next_mail.push((to - lo) as u32);
+                    }
+                    *count += 1;
                 }
             }
         }
 
-        // Local prefix sums; the slot table is recycled in place
-        // (steady-state rounds reuse both the buffer and its slots, see
-        // the type docs).
-        self.offsets[0] = 0;
-        for i in 0..self.len() {
-            self.offsets[i + 1] = self.offsets[i] + self.counts[i];
-        }
-        let len = self.len();
-        let total = self.offsets[len];
-        self.slots.resize(total, InboxSlot::default());
+        // Prefix sums over this round's recipients only; the slot table
+        // is recycled in place (steady-state rounds reuse both the buffer
+        // and its slots, see the type docs).
+        let total = self.commit_count();
         self.work.inbox_slot_bytes = total * std::mem::size_of::<InboxSlot>();
-        self.counts.copy_from_slice(&self.offsets[..len]);
 
         // Scatter. Dropping last round's payload handles here (not one by
         // one during overwrite) is what frees the scatter loop of all
@@ -981,9 +1216,7 @@ impl DeliveryShard {
             error,
         };
         let shard_count = bounds.len() - 1;
-        let lo_v = self.start;
-        self.counts.fill(0);
-        self.work = DeliveryWork::default();
+        self.reset_work();
         self.gather.resize(shard_count, None);
         transport
             .collect(me, &mut self.gather)
@@ -1014,57 +1247,16 @@ impl DeliveryShard {
             }
             decoded.push(frame);
         }
-        // Count pass. The checksum already rules out transport corruption
-        // of the ref table; the checks here also rule out a well-formed
-        // frame that routes into foreign inboxes or fabricates a sender:
-        // the claimed sender must belong to the shard the frame came
-        // from, the slot range must lie within that sender's own CSR row,
-        // and every delivered target must be a vertex this shard owns.
-        let max_slot = graph.directed_edge_count();
-        for (k, frame) in decoded.iter().enumerate() {
-            self.work.refs_scanned += frame.ref_count();
-            let (sender_lo, sender_hi) = (bounds[k], bounds[k + 1]);
-            for r in frame.refs() {
-                let from = r.from as usize;
-                let (slot_lo, slot_hi) = (r.lo as usize, r.hi as usize);
-                let foreign = FrameError::ForeignSlots {
-                    from,
-                    lo: slot_lo,
-                    hi: slot_hi,
-                };
-                if slot_hi > max_slot || from < sender_lo || from >= sender_hi {
-                    return Err(fail(foreign));
-                }
-                if slot_lo < slot_hi {
-                    let row = graph.neighbor_slots(from);
-                    if slot_lo < row.start || slot_hi > row.end {
-                        return Err(fail(foreign));
-                    }
-                }
-                for &to in graph.slot_targets(slot_lo..slot_hi) {
-                    // One bounds check per copy: the count table is
-                    // exactly this shard's vertex range, so `get_mut` of
-                    // the wrapping-shifted id *is* the ownership test
-                    // (`to < lo_v` wraps to a huge index and misses too).
-                    match self.counts.get_mut(to.wrapping_sub(lo_v)) {
-                        Some(count) => *count += 1,
-                        None => return Err(fail(foreign)),
-                    }
-                }
-            }
+        self.begin_count();
+        if let Err(error) = self.count_frames(graph, bounds, decoded) {
+            self.abort_count();
+            return Err(fail(error));
         }
 
-        // Local prefix sums; the slot table is recycled in place exactly
-        // as in the shared-memory path.
-        self.offsets[0] = 0;
-        for i in 0..self.len() {
-            self.offsets[i + 1] = self.offsets[i] + self.counts[i];
-        }
-        let len = self.len();
-        let total = self.offsets[len];
-        self.slots.resize(total, InboxSlot::default());
+        // Prefix sums over this round's recipients only; the slot table
+        // is recycled in place exactly as in the shared-memory path.
+        let total = self.commit_count();
         self.work.inbox_slot_bytes = total * std::mem::size_of::<InboxSlot>();
-        self.counts.copy_from_slice(&self.offsets[..len]);
 
         // Scatter pass. Each unique frame payload is registered in the
         // slab once as a zero-copy view into the frame buffer (refs
@@ -1087,6 +1279,61 @@ impl DeliveryShard {
             }
         }
         self.work.payload_registrations = self.slab.len();
+        Ok(())
+    }
+
+    /// The framed count pass. The checksum already rules out transport
+    /// corruption of the ref table; the checks here also rule out a
+    /// well-formed frame that routes into foreign inboxes or fabricates a
+    /// sender: the claimed sender must belong to the shard the frame came
+    /// from, the slot range must lie within that sender's own CSR row,
+    /// and every delivered target must be a vertex this shard owns.
+    fn count_frames(
+        &mut self,
+        graph: &Graph,
+        bounds: &[VertexId],
+        decoded: &[Frame],
+    ) -> Result<(), FrameError> {
+        let lo_v = self.start;
+        let max_slot = graph.directed_edge_count();
+        for (k, frame) in decoded.iter().enumerate() {
+            self.work.refs_scanned += frame.ref_count();
+            let (sender_lo, sender_hi) = (bounds[k], bounds[k + 1]);
+            for r in frame.refs() {
+                let from = r.from as usize;
+                let (slot_lo, slot_hi) = (r.lo as usize, r.hi as usize);
+                let foreign = FrameError::ForeignSlots {
+                    from,
+                    lo: slot_lo,
+                    hi: slot_hi,
+                };
+                if slot_hi > max_slot || from < sender_lo || from >= sender_hi {
+                    return Err(foreign);
+                }
+                if slot_lo < slot_hi {
+                    let row = graph.neighbor_slots(from);
+                    if slot_lo < row.start || slot_hi > row.end {
+                        return Err(foreign);
+                    }
+                }
+                for &to in graph.slot_targets(slot_lo..slot_hi) {
+                    // One bounds check per copy: the count table is
+                    // exactly this shard's vertex range, so `get_mut` of
+                    // the wrapping-shifted id *is* the ownership test
+                    // (`to < lo_v` wraps to a huge index and misses too).
+                    let local = to.wrapping_sub(lo_v);
+                    match self.counts.get_mut(local) {
+                        Some(count) => {
+                            if *count == 0 {
+                                self.next_mail.push(local as u32);
+                            }
+                            *count += 1;
+                        }
+                        None => return Err(foreign),
+                    }
+                }
+            }
+        }
         Ok(())
     }
 
@@ -1402,6 +1649,74 @@ mod tests {
             frame_err(&shard),
             crate::FrameError::ForeignSlots { from: 0, .. }
         ));
+    }
+
+    /// A frame that fails validation halfway through the count pass must
+    /// leave the previous round's inbox (and mail list) readable exactly
+    /// as it was, and the next good frame must place cleanly over it.
+    #[test]
+    fn an_aborted_placement_keeps_the_previous_inbox() {
+        use crate::frame::{FrameBuilder, LoopbackTransport, Transport};
+
+        let g = generators::path(4); // adjacency 0:[1] 1:[0,2] 2:[1,3] 3:[2]
+        let view = |shard: &DeliveryShard| -> Vec<Vec<(usize, Vec<u8>)>> {
+            (0..shard.len())
+                .map(|v| {
+                    shard
+                        .incoming(v)
+                        .iter()
+                        .map(|m| (m.from(), m.payload().to_vec()))
+                        .collect()
+                })
+                .collect()
+        };
+        let mut shard = DeliveryShard::new(&g, 0, 4);
+        let t = LoopbackTransport::new(1);
+        let mut b = FrameBuilder::new();
+
+        // Round 1: vertex 1 broadcasts to 0 and 2.
+        b.begin(0, 0);
+        b.push(1, g.neighbor_slots(1), b"a");
+        t.send(0, 0, b.finish());
+        shard.place_frames(&g, 0, 1, &t, &[0, 4]);
+        assert_eq!(shard.error, None);
+        let placed = view(&shard);
+        assert_eq!(placed[0], vec![(1, b"a".to_vec())]);
+        assert_eq!(shard.mail(), &[0, 2]);
+
+        // Round 2: a valid copy to vertex 1 is counted, then a slot range
+        // past the graph fails the frame.
+        b.begin(0, 0);
+        b.push(0, g.neighbor_slots(0), b"x");
+        b.push(3, 900..901, b"y");
+        t.send(0, 0, b.finish());
+        shard.place_frames(&g, 0, 2, &t, &[0, 4]);
+        assert!(matches!(
+            shard.error,
+            Some(SimError::Frame {
+                error: crate::FrameError::ForeignSlots { lo: 900, .. },
+                ..
+            })
+        ));
+        assert_eq!(view(&shard), placed, "previous inbox intact");
+        assert_eq!(shard.mail(), &[0, 2]);
+
+        // Round 3: fewer copies than round 1, to a different vertex.
+        shard.error = None;
+        b.begin(0, 0);
+        b.push(
+            2,
+            g.neighbor_slots(2).start + 1..g.neighbor_slots(2).end,
+            b"z",
+        );
+        t.send(0, 0, b.finish());
+        shard.place_frames(&g, 0, 3, &t, &[0, 4]);
+        assert_eq!(shard.error, None);
+        assert_eq!(
+            view(&shard),
+            vec![vec![], vec![], vec![], vec![(2, b"z".to_vec())]]
+        );
+        assert_eq!(shard.mail(), &[3]);
     }
 
     #[test]

@@ -100,6 +100,10 @@ pub struct DeliveryWork {
     /// Heartbeats a supervisor judged overdue before intervening
     /// (cumulative over the run). Nonzero only under supervision.
     pub heartbeats_missed: usize,
+    /// Vertices the last round's compute phase stepped, summed over
+    /// shards: the size of the active set (mail ∪ awake — see
+    /// [`crate::Protocol::is_halted`]). Round 0 steps every vertex.
+    pub vertices_stepped: usize,
 }
 
 impl DeliveryWork {
@@ -130,6 +134,7 @@ impl DeliveryWork {
         self.heartbeats_missed = self
             .heartbeats_missed
             .saturating_add(other.heartbeats_missed);
+        self.vertices_stepped = self.vertices_stepped.saturating_add(other.vertices_stepped);
     }
 }
 
@@ -270,6 +275,7 @@ mod tests {
             workers_restarted: usize::MAX - 1,
             rounds_replayed: usize::MAX - 1,
             heartbeats_missed: usize::MAX - 1,
+            vertices_stepped: usize::MAX - 1,
         };
         let mut sum = near_max;
         sum.absorb(&near_max);
@@ -286,6 +292,7 @@ mod tests {
         assert_eq!(sum.workers_restarted, usize::MAX);
         assert_eq!(sum.rounds_replayed, usize::MAX);
         assert_eq!(sum.heartbeats_missed, usize::MAX);
+        assert_eq!(sum.vertices_stepped, usize::MAX);
         let mut small = DeliveryWork::default();
         small.absorb(&DeliveryWork {
             refs_scanned: 2,

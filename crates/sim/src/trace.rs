@@ -5,7 +5,8 @@
 //! - [`TraceRing`] — a preallocated per-shard ring buffer of
 //!   [`RoundTrace`] records: per-phase wall-clock nanos
 //!   (compute / account / ship / place / barrier wait), frame bytes,
-//!   checksum nanos, and the restart generation, for the last *K* rounds
+//!   checksum nanos, the number of vertices the compute phase stepped,
+//!   and the restart generation, for the last *K* rounds
 //!   (`NETDECOMP_TRACE_WINDOW`, default 64). Recording is zero-alloc in
 //!   steady state — every record is an in-place overwrite of a
 //!   preallocated slot — so the engine's steady-state allocation
@@ -41,7 +42,7 @@
 //! ```text
 //! {"type":"round","shard":1,"round":7,"compute_ns":1200,"account_ns":310,
 //!  "ship_ns":450,"place_ns":980,"barrier_wait_ns":150,"frame_bytes":4096,
-//!  "checksum_ns":210,"restarts_seen":0}
+//!  "checksum_ns":210,"vertices_stepped":96,"restarts_seen":0}
 //! {"type":"event","at_ms":1532,"shard":1,"round":7,"kind":"restart",
 //!  "detail":"attempt=1 backoff_ms=61 beat_age_ms=118 rounds_replayed=0"}
 //! {"type":"counter","name":"total_messages","value":1184}
@@ -137,6 +138,10 @@ pub struct RoundTrace {
     /// Nanoseconds validating incoming frames this round (zero under
     /// shared-memory backends).
     pub checksum_ns: u64,
+    /// Vertices this shard's compute phase stepped this round: the
+    /// active-set size (every vertex in round 0; afterwards only those
+    /// with mail or not halted).
+    pub vertices_stepped: u64,
     /// Restart generation of the recording process: 0 on a first
     /// launch, the supervisor's attempt count on a relaunched worker.
     pub restarts_seen: u64,
@@ -161,7 +166,7 @@ impl RoundTrace {
             "{{\"type\":\"round\",\"shard\":{shard},\"round\":{},\
              \"compute_ns\":{},\"account_ns\":{},\"ship_ns\":{},\
              \"place_ns\":{},\"barrier_wait_ns\":{},\"frame_bytes\":{},\
-             \"checksum_ns\":{},\"restarts_seen\":{}}}",
+             \"checksum_ns\":{},\"vertices_stepped\":{},\"restarts_seen\":{}}}",
             self.round,
             self.compute_ns,
             self.account_ns,
@@ -170,6 +175,7 @@ impl RoundTrace {
             self.barrier_wait_ns,
             self.frame_bytes,
             self.checksum_ns,
+            self.vertices_stepped,
             self.restarts_seen,
         );
     }
@@ -279,6 +285,12 @@ impl TraceRing {
             .pending
             .place_ns
             .saturating_add(Self::elapsed_ns(since));
+    }
+
+    /// Adds `count` vertices to the pending round's
+    /// [`RoundTrace::vertices_stepped`].
+    pub fn note_vertices_stepped(&mut self, count: u64) {
+        self.pending.vertices_stepped = self.pending.vertices_stepped.saturating_add(count);
     }
 
     /// Adds already-measured nanoseconds to the pending round's barrier
@@ -472,6 +484,7 @@ impl MetricsRegistry {
         self.counter_add("checksum_ns", work.checksum_ns);
         self.counter_add("overlap_ships", work.overlap_ships as u64);
         self.counter_add("collect_wait_ns", work.collect_wait_ns);
+        self.counter_add("vertices_stepped", work.vertices_stepped as u64);
     }
 
     /// Feeds a transport's cumulative health counters.
@@ -727,15 +740,19 @@ mod tests {
         ring.note_compute(t);
         ring.note_barrier_ns(500);
         ring.note_barrier_ns(250);
+        ring.note_vertices_stepped(5);
+        ring.note_vertices_stepped(u64::MAX);
         ring.commit(7, 0, 0, 2);
         let last = *ring.last().unwrap();
         assert_eq!(last.round, 7);
         assert_eq!(last.barrier_wait_ns, 750);
         assert_eq!(last.restarts_seen, 2);
+        assert_eq!(last.vertices_stepped, u64::MAX, "saturates");
         assert!(last.busy_ns() >= 750);
         // The pending accumulator was reset by the commit.
         ring.commit(8, 0, 0, 0);
         assert_eq!(ring.last().unwrap().barrier_wait_ns, 0);
+        assert_eq!(ring.last().unwrap().vertices_stepped, 0);
     }
 
     #[test]
@@ -770,6 +787,7 @@ mod tests {
         m.observe_run_stats(&stats);
         m.observe_delivery_work(&DeliveryWork {
             refs_scanned: 9,
+            vertices_stepped: 12,
             ..DeliveryWork::default()
         });
         m.observe_transport_health(&TransportHealth {
@@ -778,6 +796,7 @@ mod tests {
         });
         assert_eq!(m.counter("total_messages"), 4);
         assert_eq!(m.counter("refs_scanned"), 9);
+        assert_eq!(m.counter("vertices_stepped"), 12);
         assert_eq!(m.counter("rounds_replayed"), 3);
         assert_eq!(m.gauge("max_edge_bytes"), Some(16));
         assert_eq!(m.histogram("round_bytes").unwrap().count(), 1);
@@ -787,6 +806,7 @@ mod tests {
     fn the_recorder_dumps_rounds_events_and_metrics_as_jsonl() {
         let mut recorder = FlightRecorder::new();
         let mut ring = TraceRing::new(3);
+        ring.note_vertices_stepped(42);
         ring.commit(5, 128, 77, 1);
         recorder.absorb_ring(2, ring.snapshot());
         recorder.event(Some(2), 5, "restart", "attempt=1 \"quoted\"".into());
@@ -802,6 +822,7 @@ mod tests {
         assert!(lines[0].contains("\"round\":5"));
         assert!(lines[0].contains("\"frame_bytes\":128"));
         assert!(lines[0].contains("\"restarts_seen\":1"));
+        assert!(lines[0].contains("\"vertices_stepped\":42"));
         assert!(lines[1].contains("\"kind\":\"restart\""));
         assert!(lines[1].contains("\\\"quoted\\\""));
         assert!(lines[2].contains("\"shard\":null"));

@@ -51,7 +51,7 @@
 //!   the full per-round breakdown so the launcher can merge reports
 //!   with [`crate::RunStats::merge`].
 //! - `Trace { shard: u32, records }` — flight-recorder round records
-//!   ([`crate::RoundTrace`], nine `u64`s each, preceded by a `u64`
+//!   ([`crate::RoundTrace`], ten `u64`s each, preceded by a `u64`
 //!   count) streamed by a traced worker as rounds commit; the hub keeps
 //!   the last-K per shard so a supervisor's postmortem dump covers a
 //!   worker that died mid-run. Sent only under `NETDECOMP_TRACE=1`.
@@ -95,8 +95,8 @@ const KIND_STATS: u8 = 6;
 const KIND_TRACE: u8 = 7;
 const KIND_EVENT: u8 = 8;
 
-/// Encoded size of one [`RoundTrace`] record: nine `u64` fields.
-const TRACE_RECORD_LEN: usize = 72;
+/// Encoded size of one [`RoundTrace`] record: ten `u64` fields.
+const TRACE_RECORD_LEN: usize = 80;
 
 /// The known [`FrameError::Malformed`] detail strings, used to restore
 /// the `&'static str` when an error crosses the wire.
@@ -276,6 +276,7 @@ impl ControlFrame {
                     put_u64(&mut payload, record.barrier_wait_ns);
                     put_u64(&mut payload, record.frame_bytes);
                     put_u64(&mut payload, record.checksum_ns);
+                    put_u64(&mut payload, record.vertices_stepped);
                     put_u64(&mut payload, record.restarts_seen);
                 }
                 KIND_TRACE
@@ -514,6 +515,7 @@ fn decode_trace_records(r: &mut Reader<'_>) -> Option<Vec<RoundTrace>> {
             barrier_wait_ns: r.u64()?,
             frame_bytes: r.u64()?,
             checksum_ns: r.u64()?,
+            vertices_stepped: r.u64()?,
             restarts_seen: r.u64()?,
         });
     }
@@ -838,6 +840,7 @@ mod tests {
                         barrier_wait_ns: 150,
                         frame_bytes: 4096,
                         checksum_ns: 210,
+                        vertices_stepped: 96,
                         restarts_seen: 1,
                     },
                     RoundTrace {

@@ -456,7 +456,7 @@ where
             return Err(error);
         }
         let t = shard.trace.begin();
-        compute_shard(graph, round > 0, &shard, &mut nodes, &mut outboxes);
+        compute_shard(graph, round > 0, &mut shard, &mut nodes, &mut outboxes);
         shard.trace.note_compute(t);
         let t = shard.trace.begin();
         let ok = shard.account(graph, &routes, config.limit, round, &outboxes, &mut router);

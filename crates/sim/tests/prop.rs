@@ -47,8 +47,11 @@ impl Protocol for Flood {
         }
     }
 
+    /// The clock counts rounds, so a node must stay awake (stepped every
+    /// round) until it has recorded its distance; afterwards nothing it
+    /// observes matters.
     fn is_halted(&self) -> bool {
-        true
+        self.dist.is_some()
     }
 }
 

@@ -5,6 +5,12 @@
 //! within capacity; scattering a copy is a plain 8-byte slot write. This
 //! pins the "inbox slot reuse" guarantee with a counting global allocator
 //! rather than by inspection, for every delivery backend.
+//!
+//! The counter is process-global, so a measured window is honest only if
+//! nothing else in the process runs during it. libtest runs separate
+//! `#[test]`s on parallel threads (and its harness thread allocates as
+//! tests finish), so every case below runs from the one `#[test]` at the
+//! bottom of the file, one after another.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -12,6 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use bytes::Bytes;
 use netdecomp_graph::generators;
 use netdecomp_sim::{Ctx, Engine, FrameTransport, Inbox, Outbox, Protocol, Simulator};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// System allocator that counts every allocation (including reallocs).
 struct CountingAlloc;
@@ -97,12 +104,10 @@ fn assert_steady_state_is_allocation_free(engine: Engine, overlap: bool) {
     assert_eq!(work.inbox_slot_bytes, 8 * work.copies_delivered);
 }
 
-#[test]
 fn sequential_steady_state_rounds_do_not_allocate() {
     assert_steady_state_is_allocation_free(Engine::Sequential, true);
 }
 
-#[test]
 fn sharded_steady_state_rounds_do_not_allocate() {
     // Single worker thread (no per-round thread spawns — the vendored
     // rayon shim's scoped threads are the one remaining per-round
@@ -118,7 +123,6 @@ fn sharded_steady_state_rounds_do_not_allocate() {
     );
 }
 
-#[test]
 fn framed_loopback_overlapped_steady_state_rounds_do_not_allocate() {
     // The whole frame seam — encode (with checksum), loopback handoff,
     // decode, zero-copy payload slicing — must recycle every buffer:
@@ -136,7 +140,6 @@ fn framed_loopback_overlapped_steady_state_rounds_do_not_allocate() {
     );
 }
 
-#[test]
 fn framed_loopback_phase_separated_steady_state_rounds_do_not_allocate() {
     // Same guarantee with the overlap disabled (the pre-v2 schedule,
     // still selectable via NETDECOMP_FRAME_OVERLAP=0).
@@ -150,7 +153,6 @@ fn framed_loopback_phase_separated_steady_state_rounds_do_not_allocate() {
     );
 }
 
-#[test]
 fn traced_framed_steady_state_rounds_do_not_allocate() {
     // The trace plane must be free in steady state too: rings are
     // preallocated at construction and commits overwrite slots in place,
@@ -256,7 +258,6 @@ fn assert_unicast_steady_state_is_allocation_free(engine: Engine, overlap: bool)
     assert_eq!(work.inbox_slot_bytes, 8 * n);
 }
 
-#[test]
 fn sharded_unicast_steady_state_rounds_do_not_allocate() {
     assert_unicast_steady_state_is_allocation_free(
         Engine::Parallel {
@@ -267,7 +268,6 @@ fn sharded_unicast_steady_state_rounds_do_not_allocate() {
     );
 }
 
-#[test]
 fn framed_loopback_unicast_steady_state_rounds_do_not_allocate() {
     // Per-round-varying bucket (and therefore frame) sizes: the rotation
     // cycles within the warmup, so every frame buffer's high-water size
@@ -284,7 +284,6 @@ fn framed_loopback_unicast_steady_state_rounds_do_not_allocate() {
     }
 }
 
-#[test]
 fn framed_channel_allocations_are_bounded_per_round() {
     // The channel backend's mpsc mailboxes allocate queue nodes per send,
     // so it cannot be zero-alloc — but its per-round allocation count
@@ -320,4 +319,165 @@ fn framed_channel_allocations_are_bounded_per_round() {
         "channel rounds allocated {during} times (ceiling {ceiling})"
     );
     assert!(sim.nodes().iter().all(|n| n.heard > 0));
+}
+
+/// Sparse workload: `TOKENS` tokens circulate around a cycle, each
+/// forwarded one hop per round. Every node reports itself halted — a
+/// node without mail has nothing to do — so only the `TOKENS` vertices
+/// holding a token are stepped each round, out of `n`.
+#[derive(Debug, Clone)]
+struct TokenRelay {
+    payload: Bytes,
+    relayed: usize,
+}
+
+const RELAY_N: usize = 400;
+const TOKENS: usize = 4;
+
+impl TokenRelay {
+    fn next(ctx: &Ctx<'_>) -> usize {
+        (ctx.id + 1) % ctx.n
+    }
+}
+
+impl Protocol for TokenRelay {
+    fn start(&mut self, ctx: &Ctx<'_>, out: &mut Outbox) {
+        if ctx.id.is_multiple_of(RELAY_N / TOKENS) {
+            out.unicast(Self::next(ctx), self.payload.clone());
+        }
+    }
+
+    fn round(&mut self, ctx: &Ctx<'_>, incoming: Inbox<'_>, out: &mut Outbox) {
+        // Each token goes on as the node's own preencoded payload. (A
+        // forwarded inbox payload would be a view into the sender
+        // shard's frame buffer under the framed backends, and holding it
+        // in an outbox keeps that buffer from being recycled.)
+        for _ in incoming.iter() {
+            self.relayed += 1;
+            out.unicast(Self::next(ctx), self.payload.clone());
+        }
+    }
+
+    fn is_halted(&self) -> bool {
+        true
+    }
+}
+
+/// Sparse rounds are allocation-free too: the mail, awake, and sender
+/// lists, the recipient-only prefix sums, and the sorted mail list all
+/// recycle their buffers, and exactly `TOKENS` vertices step per round.
+fn sparse_relay_rounds_do_not_allocate(engine: Engine, overlap: bool) {
+    let g = generators::cycle(RELAY_N);
+    let mut sim = Simulator::new(&g, |_, _| TokenRelay {
+        payload: Bytes::from_static(b"token"),
+        relayed: 0,
+    })
+    .with_engine(engine)
+    .with_overlap(overlap);
+    for _ in 0..300 {
+        sim.step().expect("no limits configured");
+    }
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for _ in 0..100 {
+        sim.step().expect("no limits configured");
+    }
+    let during = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    assert_eq!(
+        during, 0,
+        "sparse relay rounds allocated {during} times under {engine:?} (overlap {overlap})"
+    );
+    for _ in 0..RELAY_N {
+        sim.step().expect("no limits configured");
+        let work = sim.delivery_work();
+        assert_eq!(work.vertices_stepped, TOKENS, "{engine:?}");
+        assert_eq!(work.copies_delivered, TOKENS, "{engine:?}");
+    }
+    // After a whole lap every vertex has relayed each token once more.
+    assert!(sim.nodes().iter().all(|n| n.relayed >= TOKENS));
+}
+
+fn sequential_sparse_relay_rounds_do_not_allocate() {
+    sparse_relay_rounds_do_not_allocate(Engine::Sequential, true);
+}
+
+fn sharded_sparse_relay_rounds_do_not_allocate() {
+    sparse_relay_rounds_do_not_allocate(
+        Engine::Parallel {
+            threads: 1,
+            shards: 4,
+        },
+        true,
+    );
+}
+
+fn framed_loopback_sparse_relay_rounds_do_not_allocate() {
+    for overlap in [true, false] {
+        sparse_relay_rounds_do_not_allocate(
+            Engine::Framed {
+                threads: 1,
+                shards: 4,
+                transport: FrameTransport::Loopback,
+            },
+            overlap,
+        );
+    }
+}
+
+/// Every case, one at a time on this test's thread: no other test runs
+/// while a window is measured. A failing case is reported by name and
+/// the remaining cases still run.
+#[test]
+fn steady_state_rounds_do_not_allocate() {
+    let cases: [(&str, fn()); 11] = [
+        (
+            "sequential_steady_state_rounds_do_not_allocate",
+            sequential_steady_state_rounds_do_not_allocate,
+        ),
+        (
+            "sharded_steady_state_rounds_do_not_allocate",
+            sharded_steady_state_rounds_do_not_allocate,
+        ),
+        (
+            "framed_loopback_overlapped_steady_state_rounds_do_not_allocate",
+            framed_loopback_overlapped_steady_state_rounds_do_not_allocate,
+        ),
+        (
+            "framed_loopback_phase_separated_steady_state_rounds_do_not_allocate",
+            framed_loopback_phase_separated_steady_state_rounds_do_not_allocate,
+        ),
+        (
+            "traced_framed_steady_state_rounds_do_not_allocate",
+            traced_framed_steady_state_rounds_do_not_allocate,
+        ),
+        (
+            "sharded_unicast_steady_state_rounds_do_not_allocate",
+            sharded_unicast_steady_state_rounds_do_not_allocate,
+        ),
+        (
+            "framed_loopback_unicast_steady_state_rounds_do_not_allocate",
+            framed_loopback_unicast_steady_state_rounds_do_not_allocate,
+        ),
+        (
+            "framed_channel_allocations_are_bounded_per_round",
+            framed_channel_allocations_are_bounded_per_round,
+        ),
+        (
+            "sequential_sparse_relay_rounds_do_not_allocate",
+            sequential_sparse_relay_rounds_do_not_allocate,
+        ),
+        (
+            "sharded_sparse_relay_rounds_do_not_allocate",
+            sharded_sparse_relay_rounds_do_not_allocate,
+        ),
+        (
+            "framed_loopback_sparse_relay_rounds_do_not_allocate",
+            framed_loopback_sparse_relay_rounds_do_not_allocate,
+        ),
+    ];
+    let failed: Vec<&str> = cases
+        .into_iter()
+        .filter(|(_, case)| catch_unwind(AssertUnwindSafe(case)).is_err())
+        .map(|(name, _)| name)
+        .collect();
+    assert!(failed.is_empty(), "failing cases: {failed:?}");
 }

@@ -58,8 +58,11 @@
 //! (`NETDECOMP_TRACE=1` + `NETDECOMP_TRACE_OUT`, inherited by every
 //! worker) and has the supervisor dump a flight-recorder JSONL timeline
 //! — per-round per-shard phase timings plus restart/kill/halt decisions
-//! — to FILE on completion or failure. `--json` replaces the prose
-//! summary with one machine-readable JSON object on stdout.
+//! — to FILE on completion or failure; each round record carries the
+//! shard's `vertices_stepped` (its active-set size). `--json` replaces
+//! the prose summary with one machine-readable JSON object on stdout,
+//! whose `reference_vertices_stepped` sums the active-set size over the
+//! in-process reference run's rounds.
 
 use std::io::Read as _;
 use std::time::Duration;
@@ -238,6 +241,12 @@ impl Protocol for Flood {
             out.broadcast(Bytes::from(self.best.to_le_bytes().to_vec()));
         }
     }
+
+    /// A node only ever acts on news, so the engine need not step it
+    /// without mail.
+    fn is_halted(&self) -> bool {
+        true
+    }
 }
 
 impl Snapshot for Flood {
@@ -359,6 +368,12 @@ impl Protocol for ChaosFlood {
         self.round += 1;
         self.chaos(self.round);
         self.inner.round(ctx, incoming, out);
+    }
+
+    /// The carrier counts rounds, so it is stepped every round; every
+    /// other node halts like the plain flood.
+    fn is_halted(&self) -> bool {
+        !self.carrier && self.inner.is_halted()
     }
 }
 
@@ -517,7 +532,13 @@ fn distributed_main(opts: &Options, graph: &Graph) -> Result<(), Box<dyn std::er
     // Reference run: the same flood on the in-process sequential engine,
     // digested per worker shard range.
     let mut reference = Simulator::new(graph, |id, _ctx| Flood { best: id as u64 });
-    reference.run_rounds(opts.rounds)?;
+    // The active-set size summed over rounds: how many vertex steps the
+    // sparse schedule took (n per round would be a dense sweep).
+    let mut vertices_stepped = 0usize;
+    for _ in 0..opts.rounds {
+        reference.step()?;
+        vertices_stepped += reference.delivery_work().vertices_stepped;
+    }
     let plan = ShardPlan::degree_balanced(graph, shards);
     let mut all_match = true;
     let mut merged = RunStats::default();
@@ -557,7 +578,8 @@ fn distributed_main(opts: &Options, graph: &Graph) -> Result<(), Box<dyn std::er
              \"heartbeats_missed\":{},\"full_run_restarts\":{},\
              \"checkpoint_restores\":{}}},\
              \"stats\":{{\"rounds\":{},\"total_messages\":{},\"total_bytes\":{},\
-             \"max_edge_bytes\":{}}},\"trace_out\":{}}}",
+             \"max_edge_bytes\":{}}},\"reference_vertices_stepped\":{vertices_stepped},\
+             \"trace_out\":{}}}",
             graph.vertex_count(),
             opts.rounds,
             workers_json.join(","),
